@@ -152,14 +152,7 @@ def cmd_hop(args) -> int:
     eq_path = Path(args.equilibrium)
     payload = _load_equilibrium(eq_path)
 
-    import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as tmp:
-        json.dump(payload["config"], tmp)
-        tmp_path = tmp.name
-    try:
-        rc = load_config(tmp_path)
-    finally:
-        os.unlink(tmp_path)
+    rc = load_config(payload["config"])
     system = _build(rc)
     positions = np.array(payload["positions"], dtype=float)
     if positions.shape != (system.n, 3):
@@ -215,18 +208,13 @@ def cmd_hop(args) -> int:
     return EXIT_OK
 
 
-def _dataset_rows_to_csv(records: list[HopRecord]) -> list[str]:
-    lines = [",".join(HopRecord.HEADER)]
-    for rec in records:
-        lines.append(",".join(_fmt(v) for v in rec.row()))
-    return lines
-
-
 def cmd_campaign(args) -> int:
     started = time.monotonic()
     rc = load_config(args.config)
     campaign = rc.campaign_with(samples=args.samples, seed=args.seed,
                                 jobs=args.jobs, duration=args.duration)
+    system = _build(rc)
+    header = ",".join(HopRecord.header(len(system.actuator_springs)))
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -243,7 +231,6 @@ def cmd_campaign(args) -> int:
     echo_text = json.dumps(config_echo, sort_keys=True)
 
     start_at = 0
-    existing_lines: list[str] = []
     if args.resume:
         if not (stub_path.exists() and dataset_path.exists()):
             raise UsageError("--resume given but no partial campaign output found")
@@ -253,13 +240,12 @@ def cmd_campaign(args) -> int:
                 "refusing to resume: existing partial output was produced with a "
                 "different configuration or seed")
         existing_lines = dataset_path.read_text().splitlines()
-        if not existing_lines or existing_lines[0] != ",".join(HopRecord.HEADER):
+        if not existing_lines or existing_lines[0] != header:
             raise UsageError("refusing to resume: dataset header mismatch")
         start_at = len(existing_lines) - 1
     else:
         stub_path.write_text(json.dumps({"config_echo": echo_text}) + "\n")
-        dataset_path.write_text(",".join(HopRecord.HEADER) + "\n")
-        existing_lines = [",".join(HopRecord.HEADER)]
+        dataset_path.write_text(header + "\n")
 
     done = start_at
 
@@ -268,7 +254,7 @@ def cmd_campaign(args) -> int:
         done += 1
         log.info("sample %d done (%d/%d)", rec.sample_id, done, campaign.samples)
 
-    records, failures = run_campaign(campaign, params=rc.material,
+    records, failures = run_campaign(campaign, system=system,
                                      start_at=start_at, progress=progress,
                                      integrator=rc.integrator)
 

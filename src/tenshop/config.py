@@ -79,14 +79,21 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(path=None) -> RunConfig:
-    """Load a run configuration, overlaying the shipped defaults."""
+def load_config(source=None) -> RunConfig:
+    """Load a run configuration, overlaying the shipped defaults.
+
+    `source` is a JSON file path, an already parsed dict, or None for the
+    defaults alone.
+    """
     raw = default_config_dict()
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if source is not None:
+        if isinstance(source, dict):
+            user = source
+        else:
+            try:
+                user = json.loads(Path(source).read_text())
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"cannot parse config {source}: {exc}") from exc
         version = str(user.get("schema_version", CONFIG_SCHEMA_VERSION))
         if version.split(".")[0] != CONFIG_SCHEMA_VERSION.split(".")[0]:
             raise ConfigError(f"unsupported config schema version {version!r}")

@@ -8,13 +8,12 @@ accumulated in a dissipation ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import HAVE_NUMBA, _contact_pass, advance
 from .model import (DiscretizedSystem, EnergyBreakdown, SystemState,
-                    energy_gradient, total_energy)
+                    _row_norms, energy_gradient, total_energy)
 
 SCHEMES = ("semi_implicit_euler", "velocity_verlet")
 
@@ -90,22 +89,12 @@ def resolve_contacts(positions: np.ndarray, velocities: np.ndarray,
     Mutates positions/velocities in place; returns
     (normal loss, friction loss, events).
     """
-    if HAVE_NUMBA and not record_events:
-        loss_n, loss_t = _contact_pass(positions, velocities, mass,
-                                       restitution, mu)
-        return loss_n, loss_t, []
-    return _resolve_contacts_numpy(positions, velocities, mass, restitution,
-                                   mu, time, record_events)
-
-
-def _resolve_contacts_numpy(positions, velocities, mass, restitution, mu,
-                            time, record_events):
     hit = (positions[:, 2] < 0.0) & (velocities[:, 2] < 0.0)
-    if not np.any(hit):
+    idx = hit.nonzero()[0]
+    if not len(idx):
         return 0.0, 0.0, []
-    idx = np.nonzero(hit)[0]
-    m = mass[idx]
-    v = velocities[idx]
+    m = mass.take(idx)
+    v = velocities.take(idx, axis=0)
 
     vz = v[:, 2].copy()
     jn = -(1.0 + restitution) * m * vz
@@ -113,7 +102,7 @@ def _resolve_contacts_numpy(positions, velocities, mass, restitution, mu,
     loss_n = 0.5 * m * vz ** 2 * (1.0 - restitution ** 2)
 
     vt = v[:, :2]
-    speed_t = np.linalg.norm(vt, axis=1)
+    speed_t = _row_norms(vt)
     jt_stop = m * speed_t
     jt = np.minimum(jt_stop, mu * jn)
     factor = np.where(speed_t > 0.0, 1.0 - jt / np.maximum(jt_stop, 1e-300), 1.0)
@@ -141,12 +130,15 @@ def step(state: SystemState, system: DiscretizedSystem, controls,
         pos, vel, system, controls, dt, config.scheme,
         system.params.restitution, system.params.friction_coefficient,
         time, contact, record_events)
-    diss = loss_n + loss_t
+    _check_finite(pos, time)
+    return SystemState(pos, vel), loss_n + loss_t, events
+
+
+def _check_finite(pos, time):
     if not np.all(np.isfinite(pos)):
         bad = int(np.nonzero(~np.isfinite(pos).all(axis=1))[0][0])
         raise DivergenceError(f"non-finite position for mass {bad} at t={time:g}",
                               time=time, mass_id=bad)
-    return SystemState(pos, vel), diss, events
 
 
 def _step_arrays(pos, vel, system, controls, dt, scheme, restitution, mu,
@@ -184,10 +176,7 @@ def simulate(initial: SystemState, system: DiscretizedSystem, controls,
     dt = config.resolve_dt(system)
     released = tuple(
         type(c)(stretch=c.stretch, locked=False) for c in controls)
-    sys_eff = system
-    if not gravity_on:
-        from dataclasses import replace
-        sys_eff = replace(system, gravity=0.0)
+    sys_eff = system if gravity_on else replace(system, gravity=0.0)
 
     pos = initial.positions.copy()
     vel = initial.velocities.copy()
@@ -206,39 +195,7 @@ def simulate(initial: SystemState, system: DiscretizedSystem, controls,
                                           dissipated=dissipated,
                                           dissipated_friction=diss_friction))
 
-    def check_finite(t):
-        if not np.all(np.isfinite(pos)):
-            bad = int(np.nonzero(~np.isfinite(pos).all(axis=1))[0][0])
-            raise DivergenceError(
-                f"simulation diverged: non-finite position for mass {bad} at t={t:g}",
-                time=t, mass_id=bad)
-
     sample(0.0)
-    fused = HAVE_NUMBA and not record_events
-    if fused:
-        rests = sys_eff.effective_rests(released)
-        grad = np.zeros_like(pos)
-        done = 0
-        while done < n_steps:
-            chunk = min(stride - done % stride, n_steps - done)
-            loss_n, loss_t = advance(
-                pos, vel, grad, sys_eff.mass, dt, chunk,
-                config.scheme == "velocity_verlet",
-                sys_eff.spring_i, sys_eff.spring_j, sys_eff.spring_k, rests,
-                sys_eff.spring_tension_only, sys_eff.hinge_a, sys_eff.hinge_b,
-                sys_eff.hinge_c, sys_eff.hinge_k,
-                sys_eff.gravity if gravity_on else 0.0,
-                system.params.restitution,
-                system.params.friction_coefficient, contact)
-            done += chunk
-            t = done * dt
-            dissipated += loss_n + loss_t
-            diss_friction += loss_t
-            check_finite(t)
-            if done % stride == 0 or done == n_steps:
-                sample(t)
-        return traj
-
     for k in range(1, n_steps + 1):
         t = k * dt
         loss_n, loss_t, events = _step_arrays(
@@ -250,10 +207,10 @@ def simulate(initial: SystemState, system: DiscretizedSystem, controls,
         if events:
             traj.contact_events.extend(events)
         if k % check_interval == 0:
-            check_finite(t)
+            _check_finite(pos, t)
         if k % stride == 0:
             sample(t)
     if n_steps % stride != 0:
         sample(n_steps * dt)
-    check_finite(n_steps * dt)
+    _check_finite(pos, n_steps * dt)
     return traj

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +45,13 @@ class CampaignConfig:
             raise ValueError("duration must be positive")
 
 
+# Column names of the fixed-size tuple fields of HopRecord.
+_TUPLE_COLUMNS = {
+    "final_com": ("final_com_x", "final_com_y", "final_com_z"),
+    "final_com_weighted": ("final_com_mx", "final_com_my", "final_com_mz"),
+}
+
+
 @dataclass
 class HopRecord:
     sample_id: int
@@ -71,24 +78,48 @@ class HopRecord:
     def clean(self) -> bool:
         return self.equilibrium_converged and not self.diverged
 
-    def row(self) -> list:
-        return [self.sample_id, *self.stretches, self.differential_stretch,
-                self.combined_stretch, self.equilibrium_energy,
-                int(self.equilibrium_converged), *self.final_com,
-                *self.final_com_weighted, self.peak_com_height,
-                self.final_dx, self.final_dy, self.landing_dx,
-                self.landing_dy, self.landing_vx, self.landing_vy,
-                self.landing_time,
-                self.dissipated, self.dissipated_friction, int(self.diverged)]
+    @classmethod
+    def header(cls, n_stretches: int) -> list[str]:
+        """Dataset column names, one per scalar of row(), in field order."""
+        names = []
+        for f in fields(cls):
+            if f.name == "stretches":
+                names.extend(f"lambda{k}" for k in range(1, n_stretches + 1))
+            else:
+                names.extend(_TUPLE_COLUMNS.get(f.name, (f.name,)))
+        return names
 
-    HEADER = ["sample_id", "lambda1", "lambda2", "lambda3", "lambda4",
-              "differential_stretch", "combined_stretch",
-              "equilibrium_energy", "equilibrium_converged",
-              "final_com_x", "final_com_y", "final_com_z",
-              "final_com_mx", "final_com_my", "final_com_mz",
-              "peak_com_height", "final_dx", "final_dy",
-              "landing_dx", "landing_dy", "landing_time",
-              "dissipated", "dissipated_friction", "diverged"]
+    def row(self) -> list:
+        values = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                values.extend(value)
+            elif isinstance(value, bool):
+                values.append(int(value))
+            else:
+                values.append(value)
+        return values
+
+
+def unreduced_record(sample_id: int, stretches,
+                     equilibrium_energy: float = float("nan"),
+                     equilibrium_converged: bool = False,
+                     diverged: bool = True) -> HopRecord:
+    """Record of a sample without a trajectory: every hop quantity is NaN."""
+    nan = float("nan")
+    return HopRecord(
+        sample_id=sample_id,
+        stretches=tuple(float(v) for v in stretches),
+        differential_stretch=differential_stretch(stretches),
+        combined_stretch=float(sum(stretches)),
+        equilibrium_energy=equilibrium_energy,
+        equilibrium_converged=equilibrium_converged,
+        final_com=(nan,) * 3, final_com_weighted=(nan,) * 3,
+        peak_com_height=nan, final_dx=nan, final_dy=nan,
+        landing_dx=nan, landing_dy=nan, landing_vx=nan, landing_vy=nan,
+        landing_time=nan, dissipated=nan, dissipated_friction=nan,
+        diverged=diverged)
 
 
 def sample_stretches(rng: np.random.Generator, n: int,
@@ -238,40 +269,26 @@ def run_single_hop(system: DiscretizedSystem, stretches, sample_id: int = 0,
             log.warning("sample %d diverged: %s", sample_id, exc)
             diverged = True
 
-    common = dict(
-        sample_id=sample_id,
-        stretches=tuple(float(v) for v in stretches),
-        differential_stretch=differential_stretch(stretches),
-        combined_stretch=float(sum(stretches)),
-        equilibrium_energy=float(eq_elastic),
-        equilibrium_converged=bool(result.converged),
-        diverged=diverged)
+    record = unreduced_record(sample_id, stretches, float(eq_elastic),
+                              bool(result.converged), diverged)
     if traj is not None and traj.states:
         coms = traj.com_positions(system)
         final = traj.states[-1]
         dx, dy, t_land = landing_displacement(traj, system)
+        vx, vy = landing_velocity(traj, system)
         final_com = center_of_mass(final, system)
-        record = HopRecord(
+        record = replace(
+            record,
             final_com=tuple(float(v) for v in final_com),
             final_com_weighted=tuple(float(v) for v in
                                      center_of_mass_weighted(final, system)),
             peak_com_height=float(coms[:, 2].max()),
             final_dx=float(final_com[0] - coms[0, 0]),
             final_dy=float(final_com[1] - coms[0, 1]),
-            landing_dx=dx, landing_dy=dy, landing_time=t_land,
+            landing_dx=dx, landing_dy=dy, landing_vx=vx, landing_vy=vy,
+            landing_time=t_land,
             dissipated=float(traj.energies[-1].dissipated),
-            dissipated_friction=float(traj.energies[-1].dissipated_friction),
-            **common)
-    else:
-        nan3 = (float("nan"),) * 3
-        record = HopRecord(
-            final_com=nan3, final_com_weighted=nan3,
-            peak_com_height=float("nan"),
-            final_dx=float("nan"), final_dy=float("nan"),
-            landing_dx=float("nan"),
-            landing_dy=float("nan"), landing_time=float("nan"),
-            dissipated=float("nan"), dissipated_friction=float("nan"),
-            **common)
+            dissipated_friction=float(traj.energies[-1].dissipated_friction))
     if return_trajectory:
         return record, traj
     return record
@@ -285,12 +302,7 @@ def _campaign_worker(args):
                               sample_interval=sample_interval)
     except Exception as exc:  # per-sample failures never abort the campaign
         log.error("sample %d failed: %s", sample_id, exc)
-        nan = float("nan")
-        nan3 = (nan,) * 3
-        return HopRecord(sample_id, tuple(float(v) for v in stretches),
-                         differential_stretch(stretches), float(sum(stretches)),
-                         nan, False, nan3, nan3, nan, nan, nan, nan, nan, nan,
-                         nan, nan, diverged=True)
+        return unreduced_record(sample_id, stretches)
 
 
 def run_campaign(config: CampaignConfig,

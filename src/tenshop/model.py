@@ -9,10 +9,10 @@ flat point-mass state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from ._kernels import HAVE_NUMBA, hinge_eval, spring_eval
 from .geometry import LatticeTopology, MemberKind
 
 # Spring element classes, used for the energy breakdown.
@@ -161,6 +161,23 @@ class DiscretizedSystem:
     def total_mass(self) -> float:
         return float(self.mass.sum())
 
+    @cached_property
+    def member_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(heads, tails) of every member vector: the springs j - i, then
+        the hinge arms a - b and c - b."""
+        heads = np.concatenate([self.spring_j, self.hinge_a, self.hinge_c])
+        tails = np.concatenate([self.spring_i, self.hinge_b, self.hinge_b])
+        return heads.astype(np.intp), tails.astype(np.intp)
+
+    @cached_property
+    def gradient_bins(self) -> np.ndarray:
+        """Flat (mass, axis) bin of each gradient term, in the order
+        energy_gradient stacks them: spring ends i then j, then hinge
+        ends a, c and hinge masses b."""
+        idx = np.concatenate([self.spring_i, self.spring_j, self.hinge_a,
+                              self.hinge_c, self.hinge_b]).astype(np.intp)
+        return (3 * idx[:, None] + np.arange(3)).ravel()
+
     def effective_rests(self, controls) -> np.ndarray:
         """Spring rest lengths under the given actuator controls."""
         if len(controls) != len(self.actuator_springs):
@@ -256,34 +273,59 @@ def initial_state(system: DiscretizedSystem) -> SystemState:
                        np.zeros_like(system.rest_positions))
 
 
-def _spring_extensions(positions, system, rests):
-    d = positions[system.spring_j] - positions[system.spring_i]
-    length = np.linalg.norm(d, axis=1)
+def _row_norms(x):
+    """np.linalg.norm(x, axis=1) without its dispatch: the squares are
+    summed column by column, left to right, as numpy's row reduction does."""
+    sq = x * x
+    total = sq[:, 0] + sq[:, 1]
+    for k in range(2, x.shape[1]):
+        total += sq[:, k]
+    return np.sqrt(total)
+
+
+def _members(positions, system):
+    """Every member vector (see DiscretizedSystem.member_ends) and its
+    length, gathered in one pass."""
+    heads, tails = system.member_ends
+    vec = positions.take(heads, axis=0) - positions.take(tails, axis=0)
+    return vec, _row_norms(vec)
+
+
+def _spring_extensions(vec, norms, system, rests):
+    s = len(system.spring_k)
+    d, length = vec[:s], norms[:s]
     ext = length - rests
     ext = np.where(system.spring_tension_only & (ext < 0.0), 0.0, ext)
     return d, length, ext
 
 
-def _hinge_geometry(positions, system):
-    u = positions[system.hinge_a] - positions[system.hinge_b]
-    w = positions[system.hinge_c] - positions[system.hinge_b]
-    nu = np.linalg.norm(u, axis=1)
-    nw = np.linalg.norm(w, axis=1)
-    cross = np.cross(u, w)
-    sin_phi = np.linalg.norm(cross, axis=1) / (nu * nw)
+_NEXT = np.array([1, 2, 0])  # (a x b)_k = a_next b_prev - a_prev b_next
+_PREV = np.array([2, 0, 1])
+
+
+def _hinge_geometry(vec, norms, system):
+    s, h = len(system.spring_k), len(system.hinge_k)
+    u, w = vec[s:s + h], vec[s + h:]
+    nu, nw = norms[s:s + h], norms[s + h:]
+    # np.cross term by term, without its per-call axis handling
+    cross = u[:, _NEXT] * w[:, _PREV] - u[:, _PREV] * w[:, _NEXT]
+    sin_phi = _row_norms(cross) / (nu * nw)
     cos_phi = np.einsum("ij,ij->i", u, w) / (nu * nw)
     # theta = pi - interior angle: deviation from a straight bar
     theta = np.arctan2(sin_phi, -cos_phi)
     return u, w, nu, nw, sin_phi, cos_phi, theta
 
 
-def _elastic_energy_numpy(positions, system, rests) -> EnergyBreakdown:
-    _, _, ext = _spring_extensions(positions, system, rests)
+def elastic_energy(positions: np.ndarray, system: DiscretizedSystem,
+                   controls) -> EnergyBreakdown:
+    rests = system.effective_rests(controls)
+    vec, norms = _members(positions, system)
+    _, _, ext = _spring_extensions(vec, norms, system, rests)
     e = 0.5 * system.spring_k * ext ** 2
     by_class = np.bincount(system.spring_class, weights=e, minlength=4)
 
     if len(system.hinge_k):
-        *_, theta = _hinge_geometry(positions, system)
+        *_, theta = _hinge_geometry(vec, norms, system)
         angular = float(np.sum(0.5 * system.hinge_k * theta ** 2))
     else:
         angular = 0.0
@@ -295,17 +337,21 @@ def _elastic_energy_numpy(positions, system, rests) -> EnergyBreakdown:
         elastic_actuators=float(by_class[ACTUATOR]))
 
 
-def _energy_gradient_numpy(positions, system, rests, g) -> np.ndarray:
-    d, length, ext = _spring_extensions(positions, system, rests)
+def energy_gradient(positions: np.ndarray, system: DiscretizedSystem,
+                    controls, gravity: float | None = None) -> np.ndarray:
+    """Gradient of total potential energy; force is its negative."""
+    g = system.gravity if gravity is None else gravity
+    rests = system.effective_rests(controls)
+    vec, norms = _members(positions, system)
+    d, length, ext = _spring_extensions(vec, norms, system, rests)
     n = positions.shape[0]
 
     f = system.spring_k * ext / np.maximum(length, 1e-300)
     pull = f[:, None] * d  # force on i toward j when extended
-    idx = np.concatenate([system.spring_i, system.spring_j])
-    contrib = np.concatenate([-pull, pull])
+    contrib = [-pull, pull]
 
     if len(system.hinge_k):
-        u, w, nu, nw, sin_phi, cos_phi, theta = _hinge_geometry(positions, system)
+        u, w, nu, nw, sin_phi, cos_phi, theta = _hinge_geometry(vec, norms, system)
         uh = u / nu[:, None]
         wh = w / nw[:, None]
         # dE/dx = k*theta * dtheta/dx; theta/sin(phi) -> 1 as the bar
@@ -314,48 +360,13 @@ def _energy_gradient_numpy(positions, system, rests, g) -> np.ndarray:
         coeff = system.hinge_k * ratio
         ga = coeff[:, None] * (wh - cos_phi[:, None] * uh) / nu[:, None]
         gc = coeff[:, None] * (uh - cos_phi[:, None] * wh) / nw[:, None]
-        idx = np.concatenate([idx, system.hinge_a, system.hinge_c, system.hinge_b])
-        contrib = np.concatenate([contrib, ga, gc, -(ga + gc)])
+        contrib += [ga, gc, -(ga + gc)]
 
-    grad = np.empty_like(positions)
-    for axis in range(3):
-        grad[:, axis] = np.bincount(idx, weights=contrib[:, axis], minlength=n)
-    if g:
-        grad[:, 2] += system.mass * g
-    return grad
-
-
-def elastic_energy(positions: np.ndarray, system: DiscretizedSystem,
-                   controls) -> EnergyBreakdown:
-    rests = system.effective_rests(controls)
-    if not HAVE_NUMBA:
-        return _elastic_energy_numpy(positions, system, rests)
-    unused = np.empty((0, 3))
-    by_class = spring_eval(positions, system.spring_i, system.spring_j,
-                           system.spring_k, rests, system.spring_tension_only,
-                           system.spring_class, unused, False)
-    angular = hinge_eval(positions, system.hinge_a, system.hinge_b,
-                         system.hinge_c, system.hinge_k, unused, False)
-    return EnergyBreakdown(
-        elastic_bars_axial=float(by_class[BAR_AXIAL]),
-        elastic_bars_angular=float(angular),
-        elastic_cables=float(by_class[EDGE] + by_class[ATTACH]),
-        elastic_actuators=float(by_class[ACTUATOR]))
-
-
-def energy_gradient(positions: np.ndarray, system: DiscretizedSystem,
-                    controls, gravity: float | None = None) -> np.ndarray:
-    """Gradient of total potential energy; force is its negative."""
-    g = system.gravity if gravity is None else gravity
-    rests = system.effective_rests(controls)
-    if not HAVE_NUMBA:
-        return _energy_gradient_numpy(positions, system, rests, g)
-    grad = np.zeros_like(positions)
-    spring_eval(positions, system.spring_i, system.spring_j, system.spring_k,
-                rests, system.spring_tension_only, system.spring_class,
-                grad, True)
-    hinge_eval(positions, system.hinge_a, system.hinge_b, system.hinge_c,
-               system.hinge_k, grad, True)
+    # one bincount over flat (mass, axis) bins; each bin sums its terms in
+    # stack order, as a bincount per axis would
+    grad = np.bincount(system.gradient_bins,
+                       weights=np.concatenate(contrib).ravel(),
+                       minlength=3 * n).reshape(n, 3)
     if g:
         grad[:, 2] += system.mass * g
     return grad

@@ -94,7 +94,7 @@ def campaign_dir(small_config, tmp_path_factory):
 
 def test_campaign_artifacts(campaign_dir):
     lines = (campaign_dir / "dataset.csv").read_text().splitlines()
-    assert lines[0] == ",".join(HopRecord.HEADER)
+    assert lines[0] == ",".join(HopRecord.header(1))
     assert len(lines) == 3
     manifest = json.loads((campaign_dir / "campaign_manifest.json").read_text())
     assert manifest["samples"] == 2
@@ -140,7 +140,7 @@ def test_campaign_resume_completes_partial_run(campaign_dir, small_config,
 
 def test_campaign_resume_rejects_config_mismatch(campaign_dir, small_config,
                                                  tmp_path):
-    (tmp_path / "dataset.csv").write_text(",".join(HopRecord.HEADER) + "\n")
+    (tmp_path / "dataset.csv").write_text(",".join(HopRecord.header(1)) + "\n")
     (tmp_path / "campaign_partial.json").write_text(
         json.dumps({"config_echo": "something else"}) + "\n")
     assert run_campaign_cli(small_config, tmp_path, ["--resume"]) == EXIT_USAGE
@@ -148,6 +148,15 @@ def test_campaign_resume_rejects_config_mismatch(campaign_dir, small_config,
 
 def test_campaign_resume_without_partial_output(small_config, tmp_path):
     assert run_campaign_cli(small_config, tmp_path, ["--resume"]) == EXIT_USAGE
+
+
+def test_campaign_honours_topology_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"lattice": {"nx": 1, "ny": 1, "topology_file": "nope.json"}}))
+    outdir = tmp_path / "out"
+    assert run_campaign_cli(str(cfg), outdir) == EXIT_USAGE
+    assert not (outdir / "dataset.csv").exists()
 
 
 def test_version_flag():

@@ -79,3 +79,16 @@ def test_campaign_with_overrides_skip_none():
     assert camp.seed == rc.campaign.seed
     assert camp.jobs == 3
     assert camp.duration == rc.campaign.duration
+
+
+def test_dict_and_file_give_equal_configs(tmp_path):
+    payload = {"lattice": {"nx": 1, "ny": 1}, "material": {"gravity": 1.62},
+               "integrator": {"scheme": "velocity_verlet"}}
+    assert load_config(payload) == load_config(write(tmp_path, payload))
+
+
+def test_unknown_key_in_dict_rejected():
+    with pytest.raises(ConfigError, match="unknown keys"):
+        load_config({"integrator": {"stepsize": 0.001}})
+    with pytest.raises(ConfigError, match="unknown config sections"):
+        load_config({"materials": {}})

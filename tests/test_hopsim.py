@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tenshop.dynamics import IntegratorConfig, Trajectory
-from tenshop.hopsim import (CampaignConfig, HopRecord, center_of_mass,
-                            differential_stretch, find_equilibrium,
+from tenshop.hopsim import (CampaignConfig, HopRecord, _campaign_worker,
+                            center_of_mass, differential_stretch,
+                            find_equilibrium,
                             landing_displacement, rest_on_ground,
                             run_campaign, run_single_hop, sample_stretches)
 from tenshop.model import SystemState, controls_from_stretches, elastic_energy
@@ -114,7 +115,33 @@ def test_run_single_hop_record(one_hop, system_2x2):
 
 def test_hop_record_row_matches_header(one_hop):
     record, _ = one_hop
-    assert len(record.row()) == len(HopRecord.HEADER)
+    assert len(record.row()) == len(HopRecord.header(4))
+    assert np.isfinite(record.landing_vx) and np.isfinite(record.landing_vy)
+
+
+@pytest.mark.parametrize("system_name", ["system_1x1", "system_2x2"])
+def test_failed_sample_record_matches_header(request, system_name):
+    system = request.getfixturevalue(system_name)
+    n = len(system.actuator_springs)
+    # a zero stretch is rejected by ActuatorControl, so the worker falls back
+    record = _campaign_worker((system, (0.0,) * n, 7, 0.1, 0.01, None))
+    assert record.diverged and not record.clean
+    assert record.sample_id == 7
+    header = HopRecord.header(n)
+    assert len(record.row()) == len(header)
+    assert header[1:n + 1] == [f"lambda{k}" for k in range(1, n + 1)]
+    assert header[n + 1] == "differential_stretch"
+
+
+def test_single_cell_record_has_one_stretch_column(system_1x1):
+    record = run_single_hop(system_1x1, [0.5], duration=0.05)
+    header = HopRecord.header(1)
+    assert len(record.row()) == len(header)
+    assert "lambda1" in header and "lambda2" not in header
+    # every pre-existing column keeps its name
+    assert {"sample_id", "final_com_x", "final_com_mz", "landing_dx",
+            "landing_vx", "landing_vy", "landing_time",
+            "dissipated_friction", "diverged"} <= set(header)
 
 
 def test_campaign_config_validation():
