@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from . import __version__
 from .config import ConfigError, load_config
 from .dynamics import DivergenceError, simulate
 from .formfind import cg_minimize
-from .geometry import assemble_lattice, build_unit_cell, load_topology_file
-from .hopsim import HopRecord, center_of_mass, rest_on_ground, run_campaign
-from .model import (SystemState, controls_from_stretches, discretize,
-                    elastic_energy, initial_state)
+from .hopsim import HopRecord, build_system, rest_on_ground, run_campaign
+from .model import SystemState, controls_from_stretches, initial_state
+# Not called here: perfbench/child.py probes cli.discretize for set-up time.
+from .model import discretize  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,19 +89,11 @@ def _parse_lambdas(text: str, n_expected: int) -> list[float]:
     return values
 
 
-def _build(run_config):
-    if run_config.topology_file:
-        cell = load_topology_file(run_config.topology_file)
-    else:
-        cell = build_unit_cell(run_config.l)
-    lattice = assemble_lattice(cell, run_config.lattice_nx, run_config.lattice_ny)
-    return discretize(lattice, run_config.material)
-
-
 def cmd_formfind(args) -> int:
     started = time.monotonic()
     rc = load_config(args.config)
-    system = _build(rc)
+    system = build_system(rc.lattice_nx, rc.lattice_ny, rc.l, rc.material,
+                          rc.topology_file)
     lambdas = _parse_lambdas(args.lam, len(system.actuator_springs))
     controls = controls_from_stretches(lambdas)
 
@@ -153,7 +146,8 @@ def cmd_hop(args) -> int:
     payload = _load_equilibrium(eq_path)
 
     rc = load_config(payload["config"])
-    system = _build(rc)
+    system = build_system(rc.lattice_nx, rc.lattice_ny, rc.l, rc.material,
+                          rc.topology_file)
     positions = np.array(payload["positions"], dtype=float)
     if positions.shape != (system.n, 3):
         raise UsageError(f"equilibrium state has shape {positions.shape}, "
@@ -210,11 +204,13 @@ def cmd_hop(args) -> int:
 
 def cmd_campaign(args) -> int:
     started = time.monotonic()
-    rc = load_config(args.config)
-    campaign = rc.campaign_with(samples=args.samples, seed=args.seed,
-                                jobs=args.jobs, duration=args.duration)
-    system = _build(rc)
-    header = ",".join(HopRecord.header(len(system.actuator_springs)))
+    rc = load_config(args.config, {"campaign": {
+        "samples": args.samples, "seed": args.seed, "jobs": args.jobs,
+        "duration": args.duration}})
+    campaign = rc.campaign
+    system = build_system(rc.lattice_nx, rc.lattice_ny, rc.l, rc.material,
+                          rc.topology_file)
+    header = ",".join(HopRecord.header(len(system.actuator_springs))) + "\n"
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -222,45 +218,42 @@ def cmd_campaign(args) -> int:
     stub_path = outdir / "campaign_partial.json"
     manifest_path = outdir / "campaign_manifest.json"
 
-    config_echo = {"config": rc.raw, "campaign": {
-        "samples": campaign.samples, "seed": campaign.seed,
-        "lambda_min": campaign.lambda_min, "lambda_max": campaign.lambda_max,
-        "duration": campaign.duration,
-        "lattice": [campaign.lattice_nx, campaign.lattice_ny],
-    }}
-    echo_text = json.dumps(config_echo, sort_keys=True)
+    # The worker count does not change the dataset, so a resume may change it.
+    echo = {**rc.raw, "campaign": {k: v for k, v in rc.raw["campaign"].items()
+                                   if k != "jobs"}}
 
     start_at = 0
     if args.resume:
         if not (stub_path.exists() and dataset_path.exists()):
             raise UsageError("--resume given but no partial campaign output found")
-        stub = json.loads(stub_path.read_text())
-        if stub.get("config_echo") != echo_text:
+        if json.loads(stub_path.read_text()).get("config_echo") != echo:
             raise UsageError(
                 "refusing to resume: existing partial output was produced with a "
                 "different configuration or seed")
-        existing_lines = dataset_path.read_text().splitlines()
-        if not existing_lines or existing_lines[0] != header:
+        # A row torn by the interruption has no newline; it is recomputed.
+        data = dataset_path.read_bytes()
+        data = data[:data.rfind(b"\n") + 1]
+        if not data.startswith(header.encode()):
             raise UsageError("refusing to resume: dataset header mismatch")
-        start_at = len(existing_lines) - 1
+        start_at = data.count(b"\n") - 1
+        os.truncate(dataset_path, len(data))
     else:
-        stub_path.write_text(json.dumps({"config_echo": echo_text}) + "\n")
-        dataset_path.write_text(header + "\n")
+        stub_path.write_text(json.dumps({"config_echo": echo}) + "\n")
+        dataset_path.write_text(header)
 
-    done = start_at
-
-    def progress(rec):
-        nonlocal done
-        done += 1
-        log.info("sample %d done (%d/%d)", rec.sample_id, done, campaign.samples)
-
-    records, failures = run_campaign(campaign, system=system,
-                                     start_at=start_at, progress=progress,
-                                     integrator=rc.integrator)
-
-    with dataset_path.open("a", newline="") as fh:
+    records = run_campaign(campaign, system, rc.integrator, rc.cg, start_at)
+    with dataset_path.open("a", newline="") as fh, closing(records):
         for rec in records:
             fh.write(",".join(_fmt(v) for v in rec.row()) + "\n")
+            fh.flush()
+            log.info("sample %d done (%d/%d)", rec.sample_id,
+                     rec.sample_id + 1, campaign.samples)
+
+    # HopRecord.clean, read back from every row written so far.
+    with dataset_path.open(newline="") as fh:
+        failures = [int(row["sample_id"]) for row in csv.DictReader(fh)
+                    if row["equilibrium_converged"] != "1"
+                    or row["diverged"] != "0"]
 
     _write_manifest(manifest_path, "campaign", rc.raw, campaign.seed,
                     {"dataset": dataset_path}, time.monotonic() - started,

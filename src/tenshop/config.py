@@ -45,20 +45,6 @@ class RunConfig:
     campaign: CampaignConfig
     raw: dict
 
-    def campaign_with(self, **overrides) -> CampaignConfig:
-        base = {
-            "lattice_nx": self.lattice_nx, "lattice_ny": self.lattice_ny,
-            "l": self.l,
-            "samples": self.campaign.samples,
-            "lambda_min": self.campaign.lambda_min,
-            "lambda_max": self.campaign.lambda_max,
-            "seed": self.campaign.seed, "duration": self.campaign.duration,
-            "jobs": self.campaign.jobs,
-            "sample_interval": self.campaign.sample_interval,
-        }
-        base.update({k: v for k, v in overrides.items() if v is not None})
-        return CampaignConfig(**base)
-
 
 def default_config_dict() -> dict:
     text = resources.files("tenshop.data").joinpath("default_config.json").read_text()
@@ -79,11 +65,31 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(source=None) -> RunConfig:
+def _checked(user: dict) -> dict:
+    """Reject an unsupported schema version or unknown sections and keys;
+    return `user` unchanged."""
+    version = str(user.get("schema_version", CONFIG_SCHEMA_VERSION))
+    if version.split(".")[0] != CONFIG_SCHEMA_VERSION.split(".")[0]:
+        raise ConfigError(f"unsupported config schema version {version!r}")
+    unknown = set(user) - set(_SECTION_KEYS) - {"schema_version"}
+    if unknown:
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for section, keys in _SECTION_KEYS.items():
+        if keys is not None and section in user:
+            bad = set(user[section]) - keys
+            if bad:
+                raise ConfigError(f"unknown keys in [{section}]: {sorted(bad)}")
+    return user
+
+
+def load_config(source=None, overrides: dict | None = None) -> RunConfig:
     """Load a run configuration, overlaying the shipped defaults.
 
     `source` is a JSON file path, an already parsed dict, or None for the
-    defaults alone.
+    defaults alone.  `overrides` maps sections to keys, as in a config file,
+    and is merged last; a None value means "not given" and is skipped, so
+    command-line flags can be passed as they are parsed.  `raw` of the
+    result is the merged configuration.
     """
     raw = default_config_dict()
     if source is not None:
@@ -94,18 +100,11 @@ def load_config(source=None) -> RunConfig:
                 user = json.loads(Path(source).read_text())
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"cannot parse config {source}: {exc}") from exc
-        version = str(user.get("schema_version", CONFIG_SCHEMA_VERSION))
-        if version.split(".")[0] != CONFIG_SCHEMA_VERSION.split(".")[0]:
-            raise ConfigError(f"unsupported config schema version {version!r}")
-        unknown = set(user) - set(_SECTION_KEYS) - {"schema_version"}
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        for section, keys in _SECTION_KEYS.items():
-            if keys is not None and section in user:
-                bad = set(user[section]) - keys
-                if bad:
-                    raise ConfigError(f"unknown keys in [{section}]: {sorted(bad)}")
-        raw = _merge(raw, user)
+        raw = _merge(raw, _checked(user))
+    if overrides:
+        given = {section: {k: v for k, v in keys.items() if v is not None}
+                 for section, keys in overrides.items()}
+        raw = _merge(raw, _checked(given))
 
     try:
         material = MaterialParams.from_dict(raw["material"])
@@ -114,19 +113,13 @@ def load_config(source=None) -> RunConfig:
     lat = raw["lattice"]
     integ = raw["integrator"]
     ff = raw["formfind"]
-    camp = raw["campaign"]
     try:
         integrator = IntegratorConfig(dt=integ.get("dt"), scheme=integ["scheme"],
                                       stability_safety=integ["stability_safety"])
         cg = CgConfig(gradient_tolerance=ff["gradient_tolerance"],
                       max_iterations=ff["max_iterations"],
                       slope_threshold=ff["slope_threshold"])
-        campaign = CampaignConfig(
-            lattice_nx=lat["nx"], lattice_ny=lat["ny"], l=lat["l"],
-            samples=camp["samples"], lambda_min=camp["lambda_min"],
-            lambda_max=camp["lambda_max"], seed=camp["seed"],
-            duration=camp["duration"], jobs=camp["jobs"],
-            sample_interval=camp["sample_interval"])
+        campaign = CampaignConfig(**raw["campaign"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return RunConfig(lattice_nx=int(lat["nx"]), lattice_ny=int(lat["ny"]),

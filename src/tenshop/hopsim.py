@@ -1,8 +1,9 @@
 """Campaign harness: sample stretches, form-find, simulate, reduce.
 
-Each sample draws four actuator stretches, finds the locked equilibrium by
-conjugate gradient descent, rests the structure on the ground, releases the
-actuators, and reduces the 3 s trajectory to a landing record.
+Each sample draws one actuator stretch per cell, finds the locked
+equilibrium by conjugate gradient descent, rests the structure on the
+ground, releases the actuators, and reduces the trajectory to a landing
+record.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .dynamics import DivergenceError, IntegratorConfig, simulate
 from .formfind import CgConfig, cg_minimize, dynamic_relaxation
-from .geometry import assemble_lattice, build_unit_cell
+from .geometry import assemble_lattice, build_unit_cell, load_topology_file
 from .model import (DiscretizedSystem, MaterialParams, SystemState,
                     controls_from_stretches, discretize, elastic_energy,
                     initial_state)
@@ -27,9 +29,6 @@ DEFAULT_LAMBDA_RANGE = (0.2, 0.8)
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    lattice_nx: int = 2
-    lattice_ny: int = 2
-    l: float = 1.0
     samples: int = 100
     lambda_min: float = DEFAULT_LAMBDA_RANGE[0]
     lambda_max: float = DEFAULT_LAMBDA_RANGE[1]
@@ -151,9 +150,12 @@ def differential_stretch(stretches) -> float:
 
 def build_system(nx: int = 2, ny: int = 2, l: float = 1.0,
                  params: MaterialParams | None = None,
-                 bar_table=None) -> DiscretizedSystem:
+                 topology_file: str | None = None) -> DiscretizedSystem:
+    """Discretized nx-by-ny lattice of default cells of size l, or of the
+    cell read from `topology_file` (which carries its own size)."""
     from .config import default_params
-    cell = build_unit_cell(l, bar_table=bar_table)
+    cell = (load_topology_file(topology_file) if topology_file
+            else build_unit_cell(l))
     lattice = assemble_lattice(cell, nx, ny)
     return discretize(lattice, params or default_params())
 
@@ -294,52 +296,57 @@ def run_single_hop(system: DiscretizedSystem, stretches, sample_id: int = 0,
     return record
 
 
-def _campaign_worker(args):
-    system, stretches, sample_id, duration, sample_interval, integrator = args
+# Keyword arguments of run_single_hop shared by every sample of a campaign,
+# installed once per pool worker by _init_worker.  Only pool workers set it:
+# in-process campaigns pass their settings to _campaign_worker, so two of
+# them iterated side by side do not share it.
+_worker_settings: dict = {}
+
+
+def _init_worker(settings: dict) -> None:
+    global _worker_settings
+    _worker_settings = settings
+
+
+def _campaign_worker(task, settings: dict | None = None) -> HopRecord:
+    sample_id, stretches = task
     try:
-        return run_single_hop(system, stretches, sample_id, duration,
-                              integrator=integrator,
-                              sample_interval=sample_interval)
+        return run_single_hop(stretches=stretches, sample_id=sample_id,
+                              **(settings or _worker_settings))
     except Exception as exc:  # per-sample failures never abort the campaign
         log.error("sample %d failed: %s", sample_id, exc)
         return unreduced_record(sample_id, stretches)
 
 
-def run_campaign(config: CampaignConfig,
-                 system: DiscretizedSystem | None = None,
-                 params: MaterialParams | None = None,
-                 start_at: int = 0,
-                 progress=None,
-                 integrator: IntegratorConfig | None = None):
-    """Run the sampling campaign; returns (records, failures).
+def run_campaign(config: CampaignConfig, system: DiscretizedSystem,
+                 integrator: IntegratorConfig | None = None,
+                 cg_config: CgConfig | None = None,
+                 start_at: int = 0):
+    """Yield the HopRecord of each sample from `start_at` on, in sample order.
 
     The stretch sequence is fully determined by the seed before any work is
-    dispatched, so the dataset is identical for any worker count.
+    dispatched, so the records are identical for any worker count.  With
+    `config.jobs` > 1 the samples run in a process pool that receives the
+    system and settings once per worker; closing the generator early
+    cancels the samples not yet started.
     """
-    if system is None:
-        system = build_system(config.lattice_nx, config.lattice_ny, config.l,
-                              params)
     rng = np.random.default_rng(config.seed)
     all_stretches = sample_stretches(rng, config.samples,
                                      (config.lambda_min, config.lambda_max),
                                      n_actuators=len(system.actuator_springs))
-    tasks = [(system, s, i, config.duration, config.sample_interval,
-              integrator)
-             for i, s in enumerate(all_stretches) if i >= start_at]
-
-    records: list[HopRecord] = []
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for rec in pool.map(_campaign_worker, tasks, chunksize=1):
-                records.append(rec)
-                if progress:
-                    progress(rec)
-    else:
-        for task in tasks:
-            rec = _campaign_worker(task)
-            records.append(rec)
-            if progress:
-                progress(rec)
-    records.sort(key=lambda r: r.sample_id)
-    failures = [r.sample_id for r in records if not r.clean]
-    return records, failures
+    tasks = list(enumerate(all_stretches))[start_at:]
+    settings = {"system": system, "duration": config.duration,
+                "sample_interval": config.sample_interval,
+                "integrator": integrator, "cg_config": cg_config}
+    pool, mapper = None, map
+    worker = partial(_campaign_worker, settings=settings)
+    if config.jobs > 1:
+        pool = ProcessPoolExecutor(max_workers=config.jobs,
+                                   initializer=_init_worker,
+                                   initargs=(settings,))
+        mapper, worker = pool.map, _campaign_worker
+    try:
+        yield from mapper(worker, tasks)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from tenshop import hopsim
 from tenshop.cli import EXIT_OK, EXIT_USAGE, main
 from tenshop.config import load_config
+from tenshop.formfind import CgConfig
 from tenshop.hopsim import HopRecord
 
 
@@ -116,26 +118,78 @@ def test_campaign_parallel_matches_serial(campaign_dir, small_config,
             == (campaign_dir / "dataset.csv").read_bytes())
 
 
+def test_campaign_manifest_records_flag_overrides(campaign_dir):
+    manifest = json.loads((campaign_dir / "campaign_manifest.json").read_text())
+    campaign = manifest["config"]["campaign"]
+    assert (campaign["samples"], campaign["seed"], campaign["duration"]) == (
+        2, 5, 0.3)
+
+
+def test_campaign_passes_formfind_section(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": {"nx": 1, "ny": 1}, "formfind": {
+        "gradient_tolerance": 2e-3, "max_iterations": 4000}}))
+    rc = load_config(str(cfg))
+    assert rc.cg != CgConfig()
+    seen = []
+    real = hopsim.find_equilibrium
+
+    def recording(system, stretches, cg_config=None, **kwargs):
+        seen.append(cg_config)
+        return real(system, stretches, cg_config, **kwargs)
+
+    monkeypatch.setattr(hopsim, "find_equilibrium", recording)
+    assert main(["campaign", "--config", str(cfg), "--samples", "1",
+                 "--duration", "0.05", "--jobs", "1",
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert seen == [rc.cg]
+
+
+def interrupt_at_second_sample(config, outdir, monkeypatch):
+    """Run a --jobs 1 campaign that is interrupted in its second sample."""
+    real = hopsim.run_single_hop
+    calls = []
+
+    def hop(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hopsim, "run_single_hop", hop)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign_cli(config, outdir, ["--jobs", "1"])
+    monkeypatch.undo()
+
+
 def test_campaign_resume_completes_partial_run(campaign_dir, small_config,
-                                               tmp_path):
-    # Fabricate the on-disk state of an interrupted run: the stub plus the
-    # header and first record, then resume and compare with the full run.
-    rc = load_config(small_config)
-    campaign = rc.campaign_with(samples=2, seed=5, jobs=None, duration=0.3)
-    echo = json.dumps({"config": rc.raw, "campaign": {
-        "samples": campaign.samples, "seed": campaign.seed,
-        "lambda_min": campaign.lambda_min, "lambda_max": campaign.lambda_max,
-        "duration": campaign.duration,
-        "lattice": [campaign.lattice_nx, campaign.lattice_ny],
-    }}, sort_keys=True)
-    full_lines = (campaign_dir / "dataset.csv").read_text().splitlines(True)
-    (tmp_path / "dataset.csv").write_text("".join(full_lines[:2]))
-    (tmp_path / "campaign_partial.json").write_text(
-        json.dumps({"config_echo": echo}) + "\n")
+                                               tmp_path, monkeypatch):
+    full = (campaign_dir / "dataset.csv").read_bytes()
+    interrupt_at_second_sample(small_config, tmp_path, monkeypatch)
+    # the header and row 0 were flushed before the interruption
+    assert ((tmp_path / "dataset.csv").read_bytes()
+            == b"".join(full.splitlines(keepends=True)[:2]))
+    assert (tmp_path / "campaign_partial.json").exists()
 
     assert run_campaign_cli(small_config, tmp_path, ["--resume"]) == EXIT_OK
-    assert ((tmp_path / "dataset.csv").read_bytes()
-            == (campaign_dir / "dataset.csv").read_bytes())
+    assert (tmp_path / "dataset.csv").read_bytes() == full
+    assert not (tmp_path / "campaign_partial.json").exists()
+
+
+def test_campaign_resume_drops_torn_last_line(campaign_dir, small_config,
+                                              tmp_path, monkeypatch):
+    full = (campaign_dir / "dataset.csv").read_bytes()
+    interrupt_at_second_sample(small_config, tmp_path, monkeypatch)
+    torn_row = full.splitlines(keepends=True)[2][:25]
+    with (tmp_path / "dataset.csv").open("ab") as fh:
+        fh.write(torn_row)
+
+    # the worker count is not part of the configuration a resume checks
+    assert run_campaign_cli(small_config, tmp_path,
+                            ["--resume", "--jobs", "2"]) == EXIT_OK
+    assert (tmp_path / "dataset.csv").read_bytes() == full
+    manifest = json.loads((tmp_path / "campaign_manifest.json").read_text())
+    assert manifest["resumed_from"] == 1
 
 
 def test_campaign_resume_rejects_config_mismatch(campaign_dir, small_config,

@@ -72,13 +72,18 @@ def test_invalid_values_rejected(tmp_path):
         load_config(write(tmp_path, {"integrator": {"scheme": "rk4"}}))
 
 
-def test_campaign_with_overrides_skip_none():
-    rc = load_config(None)
-    camp = rc.campaign_with(samples=5, seed=None, jobs=3, duration=None)
-    assert camp.samples == 5
-    assert camp.seed == rc.campaign.seed
-    assert camp.jobs == 3
-    assert camp.duration == rc.campaign.duration
+def test_load_config_overrides_skip_none(tmp_path):
+    rc = load_config(write(tmp_path, {"campaign": {"samples": 7, "seed": 4}}),
+                     {"campaign": {"samples": 5, "seed": None, "jobs": 3,
+                                   "duration": None}})
+    assert rc.campaign.samples == 5
+    assert rc.campaign.seed == 4  # None means "not given"
+    assert rc.campaign.jobs == 3
+    assert rc.campaign.duration == default_config_dict()["campaign"]["duration"]
+    # raw is the merged configuration, overrides included
+    assert rc.raw["campaign"]["samples"] == 5
+    with pytest.raises(ConfigError, match="unknown keys"):
+        load_config(None, {"campaign": {"sample": 5}})
 
 
 def test_dict_and_file_give_equal_configs(tmp_path):

@@ -124,7 +124,8 @@ def test_failed_sample_record_matches_header(request, system_name):
     system = request.getfixturevalue(system_name)
     n = len(system.actuator_springs)
     # a zero stretch is rejected by ActuatorControl, so the worker falls back
-    record = _campaign_worker((system, (0.0,) * n, 7, 0.1, 0.01, None))
+    record = _campaign_worker((7, (0.0,) * n), {
+        "system": system, "duration": 0.1, "sample_interval": 0.01})
     assert record.diverged and not record.clean
     assert record.sample_id == 7
     header = HopRecord.header(n)
@@ -154,23 +155,23 @@ def test_campaign_config_validation():
 @pytest.fixture(scope="module")
 def mini_campaign(system_2x2):
     config = CampaignConfig(samples=3, seed=11, duration=0.4)
-    return config, run_campaign(config, system=system_2x2)
+    return config, list(run_campaign(config, system_2x2))
 
 
 def test_campaign_runs_and_orders_records(mini_campaign):
-    _, (records, failures) = mini_campaign
+    _, records = mini_campaign
     assert [r.sample_id for r in records] == [0, 1, 2]
-    assert failures == []
+    assert all(r.clean for r in records)
 
 
 def test_campaign_reproducible_across_job_counts(mini_campaign, system_2x2):
-    config, (serial, _) = mini_campaign
+    config, serial = mini_campaign
     from dataclasses import replace
-    parallel, _ = run_campaign(replace(config, jobs=2), system=system_2x2)
+    parallel = list(run_campaign(replace(config, jobs=2), system_2x2))
     assert [r.row() for r in serial] == [r.row() for r in parallel]
 
 
 def test_campaign_resume_matches_full_run(mini_campaign, system_2x2):
-    config, (full, _) = mini_campaign
-    tail, _ = run_campaign(config, system=system_2x2, start_at=2)
+    config, full = mini_campaign
+    tail = list(run_campaign(config, system_2x2, start_at=2))
     assert [r.row() for r in tail] == [full[2].row()]
