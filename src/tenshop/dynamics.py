@@ -8,7 +8,7 @@ accumulated in a dissipation ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .model import (DiscretizedSystem, EnergyBreakdown, SystemState,
                     _row_norms, energy_gradient, total_energy)
 
 SCHEMES = ("semi_implicit_euler", "velocity_verlet")
+CHECK_INTERVAL = 200  # steps between divergence checks in simulate
 
 
 class DivergenceError(RuntimeError):
@@ -163,20 +164,19 @@ def _step_arrays(pos, vel, system, controls, dt, scheme, restitution, mu,
 def simulate(initial: SystemState, system: DiscretizedSystem, controls,
              duration: float, config: IntegratorConfig | None = None,
              sample_interval: float = 0.01, contact: bool = True,
-             gravity_on: bool = True, record_events: bool = False,
-             check_interval: int = 200) -> Trajectory:
+             record_events: bool = False) -> Trajectory:
     """Integrate a hop: actuators unwind freely from t = 0.
 
     `controls` give the pre-release stretches; the release is modeled by
     unlocking every actuator (rest length back to its natural length), so
     residual actuator tension vanishes.  The state and energy breakdown are
-    sampled every `sample_interval`.
+    sampled every `sample_interval`; positions are checked for divergence
+    every CHECK_INTERVAL steps and at the end.
     """
     config = config or IntegratorConfig()
     dt = config.resolve_dt(system)
     released = tuple(
         type(c)(stretch=c.stretch, locked=False) for c in controls)
-    sys_eff = system if gravity_on else replace(system, gravity=0.0)
 
     pos = initial.positions.copy()
     vel = initial.velocities.copy()
@@ -191,7 +191,7 @@ def simulate(initial: SystemState, system: DiscretizedSystem, controls,
         st = SystemState(pos.copy(), vel.copy())
         traj.times.append(t)
         traj.states.append(st)
-        traj.energies.append(total_energy(st, sys_eff, released,
+        traj.energies.append(total_energy(st, system, released,
                                           dissipated=dissipated,
                                           dissipated_friction=diss_friction))
 
@@ -199,14 +199,14 @@ def simulate(initial: SystemState, system: DiscretizedSystem, controls,
     for k in range(1, n_steps + 1):
         t = k * dt
         loss_n, loss_t, events = _step_arrays(
-            pos, vel, sys_eff, released, dt, config.scheme,
+            pos, vel, system, released, dt, config.scheme,
             system.params.restitution, system.params.friction_coefficient,
             t, contact, record_events)
         dissipated += loss_n + loss_t
         diss_friction += loss_t
         if events:
             traj.contact_events.extend(events)
-        if k % check_interval == 0:
+        if k % CHECK_INTERVAL == 0:
             _check_finite(pos, t)
         if k % stride == 0:
             sample(t)

@@ -2,7 +2,12 @@
 
 Conjugate gradient descent with Polak-Ribiere direction updates (clipped to
 keep descent directions) and a bracket/parabolic-interpolation line search.
-Dynamic relaxation is provided as a slow cross-check oracle.
+Each search starts at the step that repeats the previous iteration's
+first-order decrease (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+eq. 3.60), reuses the energy already known at the current point, and, once
+energy differences fall below float resolution, finishes with one secant
+step on the directional derivative.  Dynamic relaxation is provided as a
+slow cross-check oracle.
 
 Gravity is excluded by default: the free-floating lattice has no gravity
 equilibrium, so form-finding minimizes the elastic energy alone.
@@ -113,13 +118,17 @@ def conjugate_direction(g_now: np.ndarray, c_prev: np.ndarray, beta: float,
 
 
 def bracket_minimum(energy_line, initial_step: float,
-                    config: LineSearchConfig) -> Bracket:
+                    config: LineSearchConfig,
+                    e_start: float | None = None) -> Bracket:
     """Bracket a line minimum by geometric expansion from alpha = 0.
 
     Shrinks the first trial step when it immediately increases the energy;
-    raises LineSearchError when no enclosing triple is found.
+    raises LineSearchError when no enclosing triple is found.  `e_start`,
+    when given, is the known energy at alpha = 0, which is then not
+    evaluated.
     """
-    e_start = energy_line(0.0)
+    if e_start is None:
+        e_start = energy_line(0.0)
     t = initial_step
     e_t = energy_line(t)
     shrinks = 0
@@ -196,8 +205,12 @@ def update_bracket(bracket: Bracket, am: float, em: float) -> Bracket:
 
 
 def line_search(energy_line, initial_step: float,
-                config: LineSearchConfig | None = None) -> tuple[float, float, int]:
-    """Minimize along a ray; returns (alpha, energy, evaluation count)."""
+                config: LineSearchConfig | None = None,
+                e_start: float | None = None) -> tuple[float, float, int]:
+    """Minimize along a ray; returns (alpha, energy, evaluation count).
+
+    `e_start` is the energy at alpha = 0 if the caller already has it.
+    """
     config = config or LineSearchConfig()
     evals = 0
 
@@ -206,7 +219,7 @@ def line_search(energy_line, initial_step: float,
         evals += 1
         return energy_line(a)
 
-    bracket = bracket_minimum(counted, initial_step, config)
+    bracket = bracket_minimum(counted, initial_step, config, e_start)
     width0 = bracket.width
     for _ in range(config.max_refinements):
         am = parabola_vertex(bracket)
@@ -222,14 +235,35 @@ def line_search(energy_line, initial_step: float,
     return bracket.a1, bracket.e1, evals
 
 
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def secant_root(t1: float, d0: float, d1: float) -> float:
+    """Zero of the line through (0, d0) and (t1, d1), the slopes of a ray at
+    steps 0 and t1; 0.0 unless it lies ahead of a descending start."""
+    if d1 == d0:
+        return 0.0
+    t = t1 * d0 / (d0 - d1)
+    return t if 0.0 < t < np.inf else 0.0
+
+
 def minimize_cg(energy, gradient, x0: np.ndarray,
                 config: CgConfig | None = None) -> MinimizeResult:
     """Nonlinear CG minimization of a smooth scalar function.
 
     `energy`/`gradient` act on arrays shaped like x0.  Terminates when the
     max-abs gradient component drops below the tolerance.
+
+    Each line search starts at the step alpha_{k-1} (g_{k-1}.c_{k-1}) /
+    (g_k.c_k), which repeats the previous first-order decrease, and at
+    1/|c| on the first iteration and after a failed or rejected search.
+    The search is handed the energy at the current point.  When a search
+    makes no resolvable energy progress, one secant step on the slope
+    g(x + t c).c is tried and kept only if it lowers max|g|.
     """
     config = config or CgConfig()
+    e_tol = config.line_search.energy_tolerance
     x = np.array(x0, dtype=float)
     n_energy = 0
     n_grad = 0
@@ -246,20 +280,24 @@ def minimize_cg(energy, gradient, x0: np.ndarray,
 
     g = g_of(x)
     e = e_of(x)
+    gmax = _max_abs(g)
     c = -g
+    decrease = None  # alpha * (g.c) of the last accepted step
     iteration = 0
     stalls = 0
     while iteration < config.max_iterations:
-        gmax = float(np.max(np.abs(g))) if g.size else 0.0
         if gmax <= config.gradient_tolerance:
             return MinimizeResult(x, e, gmax, True, iteration, n_energy, n_grad)
         cnorm = float(np.linalg.norm(c))
         if cnorm == 0.0:
             break
+        slope = float(np.vdot(g, c))
+        step0 = 1.0 / cnorm if decrease is None else decrease / slope
         try:
             alpha, e_new, _ = line_search(
-                lambda a: e_of(x + a * c), 1.0 / cnorm, config.line_search)
+                lambda a: e_of(x + a * c), step0, config.line_search, e_start=e)
         except LineSearchError:
+            decrease = None
             stalls += 1
             if stalls > config.stall_limit:
                 break
@@ -268,25 +306,40 @@ def minimize_cg(energy, gradient, x0: np.ndarray,
             continue
         if e_new > e:
             alpha, e_new = 0.0, e
-        x = x + alpha * c
-        if e - e_new <= config.line_search.energy_tolerance * max(1.0, abs(e)):
+        x_new = x + alpha * c
+        g_new = g_of(x_new)
+        gmax_new = _max_abs(g_new)
+        progress = e - e_new > e_tol * max(1.0, abs(e))
+        if not progress:
+            # Energy differences are below float resolution here; the
+            # slope is not, so aim for its zero along c instead.
+            t1 = alpha if alpha > 0.0 else step0
+            g1 = g_new if alpha > 0.0 else g_of(x + t1 * c)
+            t = secant_root(t1, slope, float(np.vdot(g1, c)))
+            if t > 0.0:
+                g_t = g_of(x + t * c)
+                gmax_t = _max_abs(g_t)
+                if gmax_t < gmax_new:
+                    alpha, x_new, g_new, gmax_new = t, x + t * c, g_t, gmax_t
+                    e_new = e_of(x_new)
+                    progress = True
+        decrease = alpha * slope if alpha > 0.0 else None
+        x, e = x_new, e_new
+        if progress:
+            stalls = 0
+        else:
             stalls += 1
             if stalls > config.stall_limit:
-                g = g_of(x)
+                g, gmax = g_new, gmax_new
                 break
-        else:
-            stalls = 0
-        e = e_new
-        g_new = g_of(x)
         try:
             beta = polak_ribiere_beta(g_new, g)
         except ZeroDivisionError:
             beta = 0.0
         c = conjugate_direction(g_new, c, beta, config.slope_threshold)
-        g = g_new
+        g, gmax = g_new, gmax_new
         iteration += 1
 
-    gmax = float(np.max(np.abs(g))) if g.size else 0.0
     return MinimizeResult(x, e, gmax, gmax <= config.gradient_tolerance,
                           iteration, n_energy, n_grad)
 

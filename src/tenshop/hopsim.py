@@ -42,6 +42,10 @@ class CampaignConfig:
             raise ValueError("need 0 < lambda_min < lambda_max <= 1")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        if self.samples < 0:
+            raise ValueError("samples must be nonnegative")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 # Column names of the fixed-size tuple fields of HopRecord.

@@ -21,6 +21,10 @@ EDGE = 1
 ATTACH = 2
 ACTUATOR = 3
 
+# Controls tuples whose rest lengths a system keeps; a campaign sample uses
+# two (locked, released), so a long campaign drops them in batches.
+_RESTS_CACHE_SIZE = 64
+
 _PARAM_FIELDS = {
     "bar_axial_stiffness", "bar_angular_stiffness",
     "edge_cable_stiffness", "attachment_cable_stiffness",
@@ -178,15 +182,28 @@ class DiscretizedSystem:
                               self.hinge_c, self.hinge_b]).astype(np.intp)
         return (3 * idx[:, None] + np.arange(3)).ravel()
 
+    @cached_property
+    def _rests_cache(self) -> dict:
+        return {}
+
     def effective_rests(self, controls) -> np.ndarray:
-        """Spring rest lengths under the given actuator controls."""
-        if len(controls) != len(self.actuator_springs):
+        """Spring rest lengths under the given actuator controls (read-only,
+        cached per controls tuple)."""
+        key = tuple(controls)
+        rest = self._rests_cache.get(key)
+        if rest is not None:
+            return rest
+        if len(key) != len(self.actuator_springs):
             raise ValueError(
-                f"expected {len(self.actuator_springs)} controls, got {len(controls)}")
+                f"expected {len(self.actuator_springs)} controls, got {len(key)}")
         rest = self.spring_rest.copy()
         for idx, nat, ctl in zip(self.actuator_springs, self.actuator_natural,
-                                 controls):
+                                 key):
             rest[idx] = ctl.stretch * nat if ctl.locked else nat
+        rest.flags.writeable = False
+        if len(self._rests_cache) >= _RESTS_CACHE_SIZE:
+            self._rests_cache.clear()
+        self._rests_cache[key] = rest
         return rest
 
 
@@ -310,7 +327,10 @@ def _hinge_geometry(vec, norms, system):
     # np.cross term by term, without its per-call axis handling
     cross = u[:, _NEXT] * w[:, _PREV] - u[:, _PREV] * w[:, _NEXT]
     sin_phi = _row_norms(cross) / (nu * nw)
-    cos_phi = np.einsum("ij,ij->i", u, w) / (nu * nw)
+    # x + y + z, left to right: a quarter turn about z swaps the first two
+    # terms, so cos_phi is bitwise equivariant (einsum's order is not)
+    p = u * w
+    cos_phi = (p[:, 0] + p[:, 1] + p[:, 2]) / (nu * nw)
     # theta = pi - interior angle: deviation from a straight bar
     theta = np.arctan2(sin_phi, -cos_phi)
     return u, w, nu, nw, sin_phi, cos_phi, theta

@@ -125,6 +125,17 @@ def test_campaign_manifest_records_flag_overrides(campaign_dir):
         2, 5, 0.3)
 
 
+@pytest.mark.parametrize("flag,value", [("--samples", "-1"),
+                                        ("--jobs", "-3")])
+def test_campaign_rejects_bad_counts_before_writing(small_config, tmp_path,
+                                                    flag, value):
+    # one short sample, so that a count that slips through ends quickly
+    assert main(["campaign", "--config", small_config, "--samples", "1",
+                 "--duration", "0.05", flag, value,
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_campaign_passes_formfind_section(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lattice": {"nx": 1, "ny": 1}, "formfind": {

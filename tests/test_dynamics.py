@@ -5,7 +5,8 @@ import pytest
 
 from tenshop.dynamics import (IntegratorConfig, Trajectory, resolve_contacts,
                               simulate, stable_dt, step)
-from tenshop.model import SystemState, controls_from_stretches, initial_state
+from tenshop.model import (SystemState, controls_from_stretches,
+                           energy_gradient, initial_state)
 
 
 def released(system):
@@ -192,3 +193,47 @@ def test_dissipation_ledger_accumulates(system_1x1):
     final = traj.energies[-1]
     assert final.dissipated > 0.0
     assert 0.0 <= final.dissipated_friction <= final.dissipated + 1e-12
+
+
+def quarter_turn(v):
+    return np.column_stack([-v[:, 1], v[:, 0], v[:, 2]])
+
+
+def mirror_x(v):
+    return np.column_stack([-v[:, 0], v[:, 1], v[:, 2]])
+
+
+EQUIVARIANCE_CONTROLS = controls_from_stretches([0.3, 0.5, 0.4, 0.6])
+
+
+@pytest.fixture(scope="module")
+def shaken_hop(system_2x2):
+    """A strained 2x2 state on the ground, moving, and its 0.3-s hop."""
+    rng = np.random.default_rng(8)
+    pos = system_2x2.rest_positions + 0.01 * rng.standard_normal(
+        system_2x2.rest_positions.shape)
+    pos[:, 2] -= pos[:, 2].min()
+    state = SystemState(pos, rng.uniform(-0.5, 0.5, pos.shape))
+    return state, simulate(state, system_2x2, EQUIVARIANCE_CONTROLS, 0.3,
+                           sample_interval=0.05)
+
+
+@pytest.mark.parametrize("isometry", [quarter_turn, mirror_x])
+def test_gradient_and_hop_are_exactly_equivariant(system_2x2, shaken_hop,
+                                                   isometry):
+    # Rounding must not break the lattice's symmetry: a hop amplifies a
+    # 1-ulp gradient asymmetry to centimetres within 0.3 s.
+    state, base = shaken_hop
+    pos, vel = state.positions, state.velocities
+    np.testing.assert_array_equal(
+        energy_gradient(isometry(pos), system_2x2, EQUIVARIANCE_CONTROLS),
+        isometry(energy_gradient(pos, system_2x2, EQUIVARIANCE_CONTROLS)))
+
+    moved = simulate(SystemState(isometry(pos), isometry(vel)), system_2x2,
+                     EQUIVARIANCE_CONTROLS, 0.3, sample_interval=0.05)
+    assert moved.times == base.times
+    for s_base, s_moved in zip(base.states, moved.states):
+        np.testing.assert_array_equal(s_moved.positions,
+                                      isometry(s_base.positions))
+        np.testing.assert_array_equal(s_moved.velocities,
+                                      isometry(s_base.velocities))

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenshop.formfind import (Bracket, CgConfig, LineSearchConfig,
-                              LineSearchError, bracket_minimum,
+                              LineSearchError, bracket_minimum, cg_minimize,
                               conjugate_direction, line_search, minimize_cg,
                               parabola_vertex, polak_ribiere_beta,
-                              update_bracket)
+                              secant_root, update_bracket)
+from tenshop.model import controls_from_stretches, initial_state
 
 
 def quadratic_bracket(a0, a1, a2, vertex, curvature=1.0, offset=0.0):
@@ -128,7 +129,32 @@ def test_conjugate_direction_resets_on_bad_slope():
     np.testing.assert_array_equal(c, -g)
 
 
-def test_minimize_cg_solves_spd_quadratic(rng):
+def test_line_search_with_known_start_energy_skips_alpha_zero():
+    probes = []
+
+    def energy_line(a):
+        probes.append(a)
+        return 2.0 * (a - 1.25) ** 2 + 7.0
+
+    alpha, energy, evals = line_search(energy_line, 0.3,
+                                       e_start=energy_line(0.0))
+    assert probes.count(0.0) == 1
+    assert evals == len(probes) - 1
+    assert abs(alpha - 1.25) < 1e-6
+    # the same search from scratch evaluates alpha = 0 itself, once
+    probes.clear()
+    assert line_search(energy_line, 0.3)[:2] == (alpha, energy)
+    assert probes.count(0.0) == 1 and evals == len(probes) - 1
+
+
+def test_secant_root():
+    # slopes of 2 (a - 1.25) at 0 and 0.5: the zero is at 1.25
+    assert secant_root(0.5, -2.5, -1.5) == pytest.approx(1.25)
+    assert secant_root(0.5, -2.5, -2.5) == 0.0   # no curvature
+    assert secant_root(0.5, -2.5, -3.0) == 0.0   # zero lies behind the start
+
+
+def check_spd_quadratic(rng):
     # 0.5 x'Ax - b'x with SPD A; the oracle is the linear solve.
     n = 12
     m = rng.standard_normal((n, n))
@@ -144,6 +170,27 @@ def test_minimize_cg_solves_spd_quadratic(rng):
     np.testing.assert_allclose(result.x, x_star, atol=1e-7)
     assert result.energy_evaluations > 0
     assert result.gradient_evaluations > 0
+
+
+def test_minimize_cg_solves_spd_quadratic(rng):
+    check_spd_quadratic(rng)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_minimize_cg_solves_spd_quadratic_on_every_seed(seed):
+    # At this tolerance energy differences fall below float resolution, so
+    # the slope finish has to carry the last iterations.
+    check_spd_quadratic(np.random.default_rng(seed))
+
+
+def test_form_finding_needs_few_energy_probes_per_iteration(system_2x2):
+    # The first benchmark tuple.  Searches that start at a 1-m move spend
+    # about 16 probes per iteration halving down to the step.
+    stretches = np.random.default_rng([0, 0]).uniform(0.2, 0.8, 4)
+    _, result = cg_minimize(initial_state(system_2x2), system_2x2,
+                            controls_from_stretches(stretches), CgConfig())
+    assert result.converged
+    assert result.energy_evaluations <= 7 * result.iterations
 
 
 def test_minimize_cg_rosenbrock():

@@ -150,6 +150,11 @@ def test_campaign_config_validation():
         CampaignConfig(lambda_min=0.8, lambda_max=0.2)
     with pytest.raises(ValueError):
         CampaignConfig(duration=0.0)
+    with pytest.raises(ValueError):
+        CampaignConfig(samples=-1)
+    with pytest.raises(ValueError):
+        CampaignConfig(jobs=0)
+    assert CampaignConfig(samples=0).samples == 0
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,22 @@ def test_effective_rests_respond_to_controls(system_2x2):
         system_2x2.effective_rests(controls_from_stretches([0.5]))
 
 
+def test_effective_rests_cache_keys_on_lock_state(system_2x2):
+    # Equal stretches, different lock state: the cache must not mix them up.
+    locked = controls_from_stretches([0.4] * 4)
+    released = controls_from_stretches([0.4] * 4, locked=False)
+    first = system_2x2.effective_rests(locked)
+    rests = system_2x2.effective_rests(released)
+    np.testing.assert_array_equal(rests[system_2x2.actuator_springs],
+                                  system_2x2.actuator_natural)
+    assert not np.array_equal(first, rests)
+    # an equal tuple built anew hits the cache; the array is shared, so
+    # it is read-only
+    again = system_2x2.effective_rests(
+        list(controls_from_stretches([0.4] * 4)))
+    assert again is first and not again.flags.writeable
+
+
 def test_rest_state_of_released_cell_is_equilibrium(system_1x1):
     # With actuators released and gravity off, the as-built geometry has
     # every member at natural length: the gradient vanishes.
