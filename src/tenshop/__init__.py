@@ -11,7 +11,7 @@ from .model import (ActuatorControl, DiscretizedSystem, EnergyBreakdown,
 from .formfind import (Bracket, CgConfig, LineSearchConfig, cg_minimize,
                        dynamic_relaxation, line_search, minimize_cg)
 from .dynamics import (ContactEvent, IntegratorConfig, Trajectory,
-                       resolve_contacts, simulate, stable_dt, step)
+                       resolve_contacts, simulate, stable_dt)
 from .hopsim import (CampaignConfig, HopRecord, center_of_mass,
                      differential_stretch, run_campaign, run_single_hop,
                      sample_stretches)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (DiscretizedSystem, EnergyBreakdown, SystemState,
-                    _row_norms, energy_gradient, total_energy)
+                    _column_norms, energy_gradient, total_energy)
 
 SCHEMES = ("semi_implicit_euler", "velocity_verlet")
 CHECK_INTERVAL = 200  # steps between divergence checks in simulate
@@ -90,49 +90,37 @@ def resolve_contacts(positions: np.ndarray, velocities: np.ndarray,
     Mutates positions/velocities in place; returns
     (normal loss, friction loss, events).
     """
-    hit = (positions[:, 2] < 0.0) & (velocities[:, 2] < 0.0)
-    idx = hit.nonzero()[0]
+    z = positions[:, 2]
+    if z.min() >= 0.0:  # airborne; NaN takes the full sweep
+        return 0.0, 0.0, []
+    idx = ((z < 0.0) & (velocities[:, 2] < 0.0)).nonzero()[0]
     if not len(idx):
         return 0.0, 0.0, []
     m = mass.take(idx)
+    half_m = 0.5 * m
     v = velocities.take(idx, axis=0)
 
     vz = v[:, 2].copy()
     jn = -(1.0 + restitution) * m * vz
-    v[:, 2] = -restitution * vz
-    loss_n = 0.5 * m * vz ** 2 * (1.0 - restitution ** 2)
+    np.multiply(-restitution, vz, out=v[:, 2])
+    loss_n = half_m * vz ** 2 * (1.0 - restitution ** 2)
 
     vt = v[:, :2]
-    speed_t = _row_norms(vt)
+    speed_t = _column_norms(vt.T)
     jt_stop = m * speed_t
     jt = np.minimum(jt_stop, mu * jn)
     factor = np.where(speed_t > 0.0, 1.0 - jt / np.maximum(jt_stop, 1e-300), 1.0)
-    v[:, :2] = vt * factor[:, None]
-    loss_t = 0.5 * m * speed_t ** 2 * (1.0 - factor ** 2)
+    vt *= factor[:, None]
+    loss_t = half_m * speed_t ** 2 * (1.0 - factor ** 2)
 
     velocities[idx] = v
-    positions[idx, 2] = 0.0
+    z[idx] = 0.0
 
     events = []
     if record_events:
         events = [ContactEvent(int(i), time, float(n), float(t), float(dn + dt))
                   for i, n, t, dn, dt in zip(idx, jn, jt, loss_n, loss_t)]
     return float(loss_n.sum()), float(loss_t.sum()), events
-
-
-def step(state: SystemState, system: DiscretizedSystem, controls,
-         config: IntegratorConfig, time: float = 0.0,
-         contact: bool = True, record_events: bool = False):
-    """Advance one time step; returns (new state, dissipated, events)."""
-    dt = config.resolve_dt(system)
-    pos = state.positions.copy()
-    vel = state.velocities.copy()
-    loss_n, loss_t, events = _step_arrays(
-        pos, vel, system, controls, dt, config.scheme,
-        system.params.restitution, system.params.friction_coefficient,
-        time, contact, record_events)
-    _check_finite(pos, time)
-    return SystemState(pos, vel), loss_n + loss_t, events
 
 
 def _check_finite(pos, time):
@@ -142,23 +130,30 @@ def _check_finite(pos, time):
                               time=time, mass_id=bad)
 
 
-def _step_arrays(pos, vel, system, controls, dt, scheme, restitution, mu,
-                 time, contact, record_events):
-    inv_m = 1.0 / system.mass[:, None]
+def _step_arrays(pos, vel, force, system, controls, dt, scheme, restitution,
+                 mu, time, contact, record_events):
+    """Advance pos and vel in place, given the force at pos or None.
+    Returns (force at the new pos or None, normal loss, friction loss,
+    events); only velocity Verlet knows that force."""
+    inv_m = system.inverse_mass
     if scheme == "semi_implicit_euler":
-        f = -energy_gradient(pos, system, controls)
-        vel += dt * f * inv_m
+        vel -= dt * energy_gradient(pos, system, controls) * inv_m
         pos += dt * vel
+        force = None
     else:  # velocity_verlet
-        f = -energy_gradient(pos, system, controls)
-        vel_half = vel + 0.5 * dt * f * inv_m
+        if force is None:
+            force = -energy_gradient(pos, system, controls)
+        vel_half = vel + 0.5 * dt * force * inv_m
         pos += dt * vel_half
-        f2 = -energy_gradient(pos, system, controls)
-        vel[:] = vel_half + 0.5 * dt * f2 * inv_m
-    if contact:
-        return resolve_contacts(pos, vel, system.mass, restitution, mu,
-                                time, record_events)
-    return 0.0, 0.0, []
+        force = -energy_gradient(pos, system, controls)
+        vel[:] = vel_half + 0.5 * dt * force * inv_m
+    if not contact:
+        return force, 0.0, 0.0, []
+    # the sweep can move a position only when a mass is below the ground
+    if force is not None and not pos[:, 2].min() >= 0.0:
+        force = None
+    return (force, *resolve_contacts(pos, vel, system.mass, restitution, mu,
+                                     time, record_events))
 
 
 def simulate(initial: SystemState, system: DiscretizedSystem, controls,
@@ -195,11 +190,12 @@ def simulate(initial: SystemState, system: DiscretizedSystem, controls,
                                           dissipated=dissipated,
                                           dissipated_friction=diss_friction))
 
+    force = None
     sample(0.0)
     for k in range(1, n_steps + 1):
         t = k * dt
-        loss_n, loss_t, events = _step_arrays(
-            pos, vel, system, released, dt, config.scheme,
+        force, loss_n, loss_t, events = _step_arrays(
+            pos, vel, force, system, released, dt, config.scheme,
             system.params.restitution, system.params.friction_coefficient,
             t, contact, record_events)
         dissipated += loss_n + loss_t

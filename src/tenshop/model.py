@@ -25,6 +25,10 @@ ACTUATOR = 3
 # two (locked, released), so a long campaign drops them in batches.
 _RESTS_CACHE_SIZE = 64
 
+# (a x b)_k = a_next b_prev - a_prev b_next
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
 _PARAM_FIELDS = {
     "bar_axial_stiffness", "bar_angular_stiffness",
     "edge_cable_stiffness", "attachment_cable_stiffness",
@@ -166,21 +170,50 @@ class DiscretizedSystem:
         return float(self.mass.sum())
 
     @cached_property
-    def member_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(heads, tails) of every member vector: the springs j - i, then
-        the hinge arms a - b and c - b."""
+    def member_ends(self) -> np.ndarray:
+        """Flat position indices of both ends of every member, axis-major:
+        shape (2, 3, M) as [head, tail][axis][member].  The members are the
+        springs j - i, then the hinge arms a - b and c - b."""
         heads = np.concatenate([self.spring_j, self.hinge_a, self.hinge_c])
         tails = np.concatenate([self.spring_i, self.hinge_b, self.hinge_b])
-        return heads.astype(np.intp), tails.astype(np.intp)
+        ends = np.stack([heads, tails]).astype(np.intp)
+        return 3 * ends[:, None, :] + np.arange(3)[:, None]
+
+    @cached_property
+    def hinge_factors(self) -> np.ndarray:
+        """Flat indices into the (3, M) member vectors of the hinge arm
+        rows [u_next, u_prev, u] and [w_prev, w_next, w], shape (2, 3, 3,
+        H): their product holds both halves of u x w, and u * w."""
+        s, h = len(self.spring_k), len(self.hinge_k)
+        rows = np.arange(3)
+        axes = np.array([[_NEXT, _PREV, rows], [_PREV, _NEXT, rows]])
+        first = np.array([s, s + h])[:, None, None, None]
+        return axes[..., None] * (s + 2 * h) + first + np.arange(h)
 
     @cached_property
     def gradient_bins(self) -> np.ndarray:
         """Flat (mass, axis) bin of each gradient term, in the order
-        energy_gradient stacks them: spring ends i then j, then hinge
-        ends a, c and hinge masses b."""
-        idx = np.concatenate([self.spring_i, self.spring_j, self.hinge_a,
-                              self.hinge_c, self.hinge_b]).astype(np.intp)
-        return (3 * idx[:, None] + np.arange(3)).ravel()
+        energy_gradient lays the terms out: spring ends i and j (2, 3, S),
+        hinge ends a and c (3, 2H), then hinge masses b (3, H)."""
+        s, h = len(self.spring_k), len(self.hinge_k)
+        heads, tails = self.member_ends
+        return np.concatenate([self.member_ends[::-1, :, :s].ravel(),
+                               heads[:, s:].ravel(), tails[:, s:s + h].ravel()])
+
+    @cached_property
+    def tension_only_start(self) -> int:
+        """First spring of the tension-only suffix (see discretize)."""
+        return int(np.count_nonzero(~self.spring_tension_only))
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """mass * gravity, the gravity term of the gradient."""
+        return self.mass * self.gravity
+
+    @cached_property
+    def inverse_mass(self) -> np.ndarray:
+        """1 / mass as a column, (N, 1)."""
+        return 1.0 / self.mass[:, None]
 
     @cached_property
     def _rests_cache(self) -> dict:
@@ -270,12 +303,16 @@ def discretize(topology: LatticeTopology, params: MaterialParams) -> Discretized
         mass[m.i] += params.actuator_end_mass
         mass[m.j] += params.actuator_end_mass
 
+    tension_only = np.array(spring_tension, dtype=bool)
+    # the energy kernels clamp the tension-only springs as one suffix
+    n_axial = 3 * len(bars)
+    assert not tension_only[:n_axial].any() and tension_only[n_axial:].all()
     return DiscretizedSystem(
         mass=mass,
         rest_positions=np.vstack(positions),
         spring_i=np.array(spring_i), spring_j=np.array(spring_j),
         spring_k=np.array(spring_k), spring_rest=np.array(spring_rest),
-        spring_tension_only=np.array(spring_tension, dtype=bool),
+        spring_tension_only=tension_only,
         spring_class=np.array(spring_class),
         hinge_a=np.array(hinge_a), hinge_b=np.array(hinge_b),
         hinge_c=np.array(hinge_c), hinge_k=np.array(hinge_k),
@@ -290,65 +327,56 @@ def initial_state(system: DiscretizedSystem) -> SystemState:
                        np.zeros_like(system.rest_positions))
 
 
-def _row_norms(x):
-    """np.linalg.norm(x, axis=1) without its dispatch: the squares are
-    summed column by column, left to right, as numpy's row reduction does."""
+def _column_norms(x):
+    """np.linalg.norm(x.T, axis=1) without its dispatch: the squares are
+    summed row by row, left to right, as numpy's row reduction does."""
     sq = x * x
-    total = sq[:, 0] + sq[:, 1]
-    for k in range(2, x.shape[1]):
-        total += sq[:, k]
-    return np.sqrt(total)
+    total = sq[0] + sq[1]
+    for row in sq[2:]:
+        total += row
+    return np.sqrt(total, out=total)
 
 
 def _members(positions, system):
-    """Every member vector (see DiscretizedSystem.member_ends) and its
-    length, gathered in one pass."""
-    heads, tails = system.member_ends
-    vec = positions.take(heads, axis=0) - positions.take(tails, axis=0)
-    return vec, _row_norms(vec)
-
-
-def _spring_extensions(vec, norms, system, rests):
-    s = len(system.spring_k)
-    d, length = vec[:s], norms[:s]
-    ext = length - rests
-    ext = np.where(system.spring_tension_only & (ext < 0.0), 0.0, ext)
-    return d, length, ext
-
-
-_NEXT = np.array([1, 2, 0])  # (a x b)_k = a_next b_prev - a_prev b_next
-_PREV = np.array([2, 0, 1])
+    """Every member vector, axis-major (3, M) (see
+    DiscretizedSystem.member_ends), and its length, gathered in one pass."""
+    heads, tails = positions.ravel().take(system.member_ends)
+    vec = heads - tails
+    return vec, _column_norms(vec)
 
 
 def _hinge_geometry(vec, norms, system):
+    """sin_phi, cos_phi and theta of every hinge."""
     s, h = len(system.spring_k), len(system.hinge_k)
-    u, w = vec[s:s + h], vec[s + h:]
-    nu, nw = norms[s:s + h], norms[s + h:]
-    # np.cross term by term, without its per-call axis handling
-    cross = u[:, _NEXT] * w[:, _PREV] - u[:, _PREV] * w[:, _NEXT]
-    sin_phi = _row_norms(cross) / (nu * nw)
+    # the cross product term by term, without np.cross's axis handling
+    first, second = vec.ravel().take(system.hinge_factors)
+    prod = first * second
+    lengths = norms[s:s + h] * norms[s + h:]
+    sin_phi = _column_norms(prod[0] - prod[1]) / lengths
     # x + y + z, left to right: a quarter turn about z swaps the first two
     # terms, so cos_phi is bitwise equivariant (einsum's order is not)
-    p = u * w
-    cos_phi = (p[:, 0] + p[:, 1] + p[:, 2]) / (nu * nw)
+    cos_phi = (prod[2, 0] + prod[2, 1] + prod[2, 2]) / lengths
     # theta = pi - interior angle: deviation from a straight bar
     theta = np.arctan2(sin_phi, -cos_phi)
-    return u, w, nu, nw, sin_phi, cos_phi, theta
+    return sin_phi, cos_phi, theta
+
+
+def _spring_extensions(norms, system, rests):
+    ext = norms[:len(rests)] - rests
+    slack = ext[system.tension_only_start:]
+    np.maximum(slack, 0.0, out=slack)
+    return ext
 
 
 def elastic_energy(positions: np.ndarray, system: DiscretizedSystem,
                    controls) -> EnergyBreakdown:
     rests = system.effective_rests(controls)
     vec, norms = _members(positions, system)
-    _, _, ext = _spring_extensions(vec, norms, system, rests)
+    ext = _spring_extensions(norms, system, rests)
+    *_, theta = _hinge_geometry(vec, norms, system)
     e = 0.5 * system.spring_k * ext ** 2
     by_class = np.bincount(system.spring_class, weights=e, minlength=4)
-
-    if len(system.hinge_k):
-        *_, theta = _hinge_geometry(vec, norms, system)
-        angular = float(np.sum(0.5 * system.hinge_k * theta ** 2))
-    else:
-        angular = 0.0
+    angular = float(np.sum(0.5 * system.hinge_k * theta ** 2))
 
     return EnergyBreakdown(
         elastic_bars_axial=float(by_class[BAR_AXIAL]),
@@ -363,37 +391,44 @@ def energy_gradient(positions: np.ndarray, system: DiscretizedSystem,
     g = system.gravity if gravity is None else gravity
     rests = system.effective_rests(controls)
     vec, norms = _members(positions, system)
-    d, length, ext = _spring_extensions(vec, norms, system, rests)
+    ext = _spring_extensions(norms, system, rests)
+    s, h = len(system.spring_k), len(system.hinge_k)
     n = positions.shape[0]
 
-    f = system.spring_k * ext / np.maximum(length, 1e-300)
-    pull = f[:, None] * d  # force on i toward j when extended
-    contrib = [-pull, pull]
+    # gradient terms in gradient_bins order: springs (2, 3, S), hinge
+    # outer masses (3, 2, H) and hinge masses (3, H)
+    terms = np.empty(6 * s + 9 * h)
+    springs = terms[:6 * s].reshape(2, 3, s)
+    f = system.spring_k * ext / np.maximum(norms[:s], 1e-300)
+    # force on i toward j when extended
+    np.multiply(f, vec[:, :s], out=springs[1])
+    np.negative(springs[1], out=springs[0])
 
-    if len(system.hinge_k):
-        u, w, nu, nw, sin_phi, cos_phi, theta = _hinge_geometry(vec, norms, system)
-        uh = u / nu[:, None]
-        wh = w / nw[:, None]
-        # dE/dx = k*theta * dtheta/dx; theta/sin(phi) -> 1 as the bar
-        # straightens, so the straight configuration is regular.
-        ratio = np.where(sin_phi > 1e-9, theta / np.maximum(sin_phi, 1e-300), 1.0)
-        coeff = system.hinge_k * ratio
-        ga = coeff[:, None] * (wh - cos_phi[:, None] * uh) / nu[:, None]
-        gc = coeff[:, None] * (uh - cos_phi[:, None] * wh) / nw[:, None]
-        contrib += [ga, gc, -(ga + gc)]
+    sin_phi, cos_phi, theta = _hinge_geometry(vec, norms, system)
+    # unit arms [uh, wh] per axis
+    unit = (vec[:, s:] / norms[s:]).reshape(3, 2, h)
+    # dE/dx = k*theta * dtheta/dx; theta/sin(phi) -> 1 as the bar
+    # straightens, so the straight configuration is regular.
+    coeff = np.ones(h)
+    np.divide(theta, sin_phi, out=coeff, where=sin_phi > 1e-9)
+    coeff *= system.hinge_k
+    # [ga, gc] = coeff * ([wh, uh] - cos_phi * [uh, wh]) / [nu, nw]
+    outer = terms[6 * s:6 * s + 6 * h].reshape(3, 2, h)
+    np.multiply(cos_phi, unit, out=outer)
+    np.subtract(unit[:, ::-1], outer, out=outer)
+    outer *= coeff
+    outer /= norms[s:].reshape(2, h)
+    middle = terms[6 * s + 6 * h:].reshape(3, h)
+    np.add(outer[:, 0], outer[:, 1], out=middle)
+    np.negative(middle, out=middle)
 
     # one bincount over flat (mass, axis) bins; each bin sums its terms in
-    # stack order, as a bincount per axis would
-    grad = np.bincount(system.gradient_bins,
-                       weights=np.concatenate(contrib).ravel(),
+    # the order of the per-axis stacks above
+    grad = np.bincount(system.gradient_bins, weights=terms,
                        minlength=3 * n).reshape(n, 3)
     if g:
-        grad[:, 2] += system.mass * g
+        grad[:, 2] += system.weight if gravity is None else system.mass * g
     return grad
-
-
-def forces(positions, system, controls, gravity=None):
-    return -energy_gradient(positions, system, controls, gravity)
 
 
 def total_energy(state: SystemState, system: DiscretizedSystem, controls,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tenshop.dynamics import (IntegratorConfig, Trajectory, resolve_contacts,
-                              simulate, stable_dt, step)
-from tenshop.model import (SystemState, controls_from_stretches,
+                              simulate, stable_dt)
+from tenshop.model import (SystemState, controls_from_stretches, discretize,
                            energy_gradient, initial_state)
 
 
@@ -143,10 +143,70 @@ def test_contact_event_recording():
 def test_step_returns_dissipation(system_1x1):
     state = initial_state(system_1x1)
     state.velocities[:, 2] = -1.0  # lowest ring impacts immediately
-    new, diss, _ = step(state, system_1x1, released(system_1x1),
-                        IntegratorConfig())
-    assert diss >= 0.0
-    assert new.positions[:, 2].min() >= 0.0
+    dt = IntegratorConfig().resolve_dt(system_1x1)
+    traj = simulate(state, system_1x1, released(system_1x1), dt,
+                    sample_interval=dt)
+    assert traj.times == [0.0, dt]
+    assert traj.energies[-1].dissipated >= 0.0
+    assert traj.states[-1].positions[:, 2].min() >= 0.0
+
+
+def reference_verlet(state, system, controls, duration):
+    """Velocity Verlet with two gradients per step, as simulate stepped it
+    before the end-of-step force was carried over."""
+    dt = IntegratorConfig().resolve_dt(system)
+    pos, vel = state.positions.copy(), state.velocities.copy()
+    inv_m = 1.0 / system.mass[:, None]
+    for k in range(1, int(round(duration / dt)) + 1):
+        f = -energy_gradient(pos, system, controls)
+        vel_half = vel + 0.5 * dt * f * inv_m
+        pos += dt * vel_half
+        f2 = -energy_gradient(pos, system, controls)
+        vel[:] = vel_half + 0.5 * dt * f2 * inv_m
+        resolve_contacts(pos, vel, system.mass, system.params.restitution,
+                         system.params.friction_coefficient, k * dt)
+    return pos, vel
+
+
+@pytest.mark.parametrize("lift", [0.1, 0.0])
+def test_verlet_reuses_end_of_step_force(system_1x1, params, monkeypatch,
+                                         lift):
+    # Airborne (lowest mass lifted 0.1 m), each step needs one gradient.
+    # Landing (lift 0) on a ground with restitution 1 and no friction, a
+    # sweep moves masses while both losses stay 0, and the force must be
+    # recomputed after each such sweep.
+    from dataclasses import replace
+    import tenshop.dynamics as dynamics
+    system = discretize(system_1x1.topology,
+                        replace(params, restitution=1.0,
+                                friction_coefficient=0.0))
+    state = initial_state(system)
+    state.positions[:, 2] += lift - state.positions[:, 2].min()
+    state.velocities[:, 2] = -0.2
+    controls = controls_from_stretches([0.7])
+    duration = 0.05
+    ref_pos, ref_vel = reference_verlet(
+        state, system, controls_from_stretches([0.7], locked=False), duration)
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return energy_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "energy_gradient", counted)
+    traj = simulate(state, system, controls, duration,
+                    IntegratorConfig(scheme="velocity_verlet"),
+                    sample_interval=duration)
+    np.testing.assert_array_equal(traj.states[-1].positions, ref_pos)
+    np.testing.assert_array_equal(traj.states[-1].velocities, ref_vel)
+    steps = int(round(duration / IntegratorConfig().resolve_dt(system)))
+    airborne = min(s.positions[:, 2].min() for s in traj.states) > 0.0
+    assert airborne == (lift > 0.0)
+    if airborne:
+        assert len(calls) == steps + 1
+    else:
+        assert steps + 1 < len(calls) <= 2 * steps
 
 
 def test_simulate_event_recording_leaves_trajectory_unchanged(system_1x1):
